@@ -1,15 +1,19 @@
 """Bench: diagnosis-as-a-service latency and block-diagonal batching gains.
 
-Three arms over the same pool of synthetic failure datalogs (each submission
-carries its precomputed ATPG candidate list, so the measured delta is the
-GNN inference + policy path the batcher actually batches):
+Four arms over the same pool of synthetic failure datalogs.  The first
+three send each submission with its precomputed ATPG candidate list, so the
+measured delta is the GNN inference + policy path the batcher actually
+batches:
 
 1. **sequential** — the serving core with ``max_batch=1``: every request
    pays its own three model forwards (the pre-batching regime);
 2. **batched** — the same core with ``max_batch=64``: concurrent requests
    share block-diagonal forwards;
 3. **http** — a live ``repro serve`` HTTP server fired at with the stdlib
-   concurrent client, recording end-to-end p50/p99 latency and throughput.
+   concurrent client, recording end-to-end p50/p99 latency and throughput;
+4. **effect_cause** — the batched core again, with the reports stripped, so
+   the server runs effect-cause diagnosis per chip; it records the
+   effect-cause milliseconds per chip beside the end-to-end throughput.
 
 At ``REPRO_SCALE=default`` the run floods the server with 1000 concurrent
 synthetic datalogs, snapshots everything to ``BENCH_serving.json`` at the
@@ -118,6 +122,9 @@ def _core_arm(design, fw, submissions, max_batch):
         "throughput_rps": round(len(docs) / wall, 3),
         "batches": batches,
         "mean_batch_size": round(len(docs) / batches, 2),
+        "effect_cause_ms_per_chip": round(
+            stats.stage_seconds.get("serve.atpg", 0.0) / len(docs) * 1e3, 4
+        ),
     }
 
 
@@ -156,6 +163,11 @@ def _bench_serving(scale):
     sequential = _core_arm(design, fw, submissions, max_batch=1)
     batched = _core_arm(design, fw, submissions, max_batch=MAX_BATCH)
     http = _http_arm(design, fw, submissions)
+    effect_cause = _core_arm(
+        design, fw, [{k: v for k, v in sub.items() if k != "report"}
+                     for sub in submissions],
+        max_batch=MAX_BATCH,
+    )
     return {
         "scale": scale,
         "workload": {
@@ -168,6 +180,7 @@ def _bench_serving(scale):
         "sequential": sequential,
         "batched": batched,
         "http": http,
+        "effect_cause": effect_cause,
         "speedup": {
             "batched_vs_sequential": round(
                 batched["throughput_rps"] / sequential["throughput_rps"], 3
@@ -196,6 +209,11 @@ def test_serving_throughput(benchmark, scale):
         f"p50 {http['latency_p50_s'] * 1e3:.1f}ms  "
         f"p99 {http['latency_p99_s'] * 1e3:.1f}ms  "
         f"429 retries: {http['retries_429']}"
+    )
+    ec = result["effect_cause"]
+    print(
+        f"  core effect-cause per chip  {ec['throughput_rps']:9.1f} req/s  "
+        f"effect-cause {ec['effect_cause_ms_per_chip']:.2f} ms/chip"
     )
     speedup = result["speedup"]["batched_vs_sequential"]
     print(f"  batched vs sequential core: {speedup:.2f}x")

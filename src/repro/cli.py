@@ -44,6 +44,17 @@ TABLE_CHOICES = (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -68,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                             ".prom/.txt; render with `repro stats FILE`")
 
     demo = sub.add_parser("demo", help="end-to-end single-chip diagnosis demo")
-    demo.add_argument("--gates", type=int, default=400, help="design size")
+    demo.add_argument("--gates", type=_positive_int, default=400, help="design size")
     demo.add_argument("--seed", type=int, default=7)
     demo.add_argument("--nn-backend", default=None, metavar="SPEC",
                       help="tensor backend for the GNN models (numpy, torch, "
@@ -191,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stdin", dest="stdin_mode", action="store_true",
                        help="serve JSONL submissions from stdin, responses "
                             "to stdout (combinable with --http)")
-    serve.add_argument("--gates", type=int, default=300, help="design size")
+    serve.add_argument("--gates", type=_positive_int, default=300, help="design size")
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--configs", default="Syn-1", metavar="LIST",
                        help="comma-separated design configs to serve "

@@ -20,11 +20,16 @@ The classic multi-phase algorithm behind production diagnosis tools
    observed failure logs are compared into TFSF / TFSP / TPSF counts and a
    match score.  Candidates are ranked and pruned to the near-best band,
    producing the ranked report the GNN framework post-processes.
+
+Both phases run on packed words.  Candidate extraction ANDs per-observation
+fan-in-cone rows with per-pattern transition rows; scoring folds big-int
+propagation differences per observation and popcounts them against the
+observed fail words.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,46 +86,64 @@ class EffectCauseDiagnoser:
         self.sim = sim or CompiledSimulator(nl)
         self.machine = FaultMachine(self.sim)
         self.good = self.sim.simulate_pair(patterns.v1, patterns.v2)
-        self.transitions = self.good.transitions()
+        #: Row ``p``, bit ``n``: net ``n`` switches under pattern ``p``.
+        self._transition_rows = np.packbits(
+            self.good.transitions().T, axis=1, bitorder="little"
+        )
         self.keep_ratio = keep_ratio
         self.max_detail_nets = max_detail_nets
         self.max_candidates = max_candidates
         self.explain_fraction = explain_fraction
         self.n_passing_sample = n_passing_sample
         self.seed = seed
-        self._cone_cache: Dict[int, Set[int]] = {}
+        self._cone_rows: Dict[int, np.ndarray] = {}
+        self._obs_of_net: Dict[int, List[int]] = {}
+        for obs in obsmap.observations:
+            for net in obs.nets:
+                self._obs_of_net.setdefault(net, []).append(obs.id)
+        self._or_obs = frozenset(
+            obs.id for obs in obsmap.observations if obs.combine == "or"
+        )
         self._miv_sites_by_net: Dict[int, List[FaultSite]] = {}
         for s in miv_fault_sites(nl, mivs):
             self._miv_sites_by_net.setdefault(s.net, []).append(s)
         self._observed = set(nl.observed_nets)
 
     # ------------------------------------------------------------ phase one
-    def _cone(self, obs_net: int) -> Set[int]:
-        cone = self._cone_cache.get(obs_net)
-        if cone is None:
-            cone = fanin_cone_nets(self.nl, obs_net)
-            self._cone_cache[obs_net] = cone
-        return cone
+    def _cone_row(self, obs_id: int) -> np.ndarray:
+        """Packed fan-in-cone membership row of one observation (lazy).
+
+        Bit ``n`` is set when net ``n`` lies in the fan-in cone of any of the
+        observation's nets; rows are built on first use, so memory follows
+        the observations that actually fail.
+        """
+        row = self._cone_rows.get(obs_id)
+        if row is None:
+            member = np.zeros(self.nl.n_nets, dtype=bool)
+            for obs_net in self.obsmap.observations[obs_id].nets:
+                member[list(fanin_cone_nets(self.nl, obs_net))] = True
+            row = np.packbits(member, bitorder="little")
+            self._cone_rows[obs_id] = row
+        return row
 
     def suspect_nets(self, log: FailureLog) -> List[int]:
         """Nets that can explain (nearly) every erroneous response."""
-        explain_count: Dict[int, int] = {}
         n_entries = len(log.entries)
-        for entry in log.entries:
-            pattern = entry.pattern
-            union: Set[int] = set()
-            for obs_net in self.obsmap.observations[entry.observation].nets:
-                union.update(self._cone(obs_net))
-            for net in union:
-                if self.transitions[net, pattern]:
-                    explain_count[net] = explain_count.get(net, 0) + 1
-        if not explain_count:
+        if not n_entries:
             return []
-        best = max(explain_count.values())
+        cones = np.stack([self._cone_row(e.observation) for e in log.entries])
+        switching = self._transition_rows[[e.pattern for e in log.entries]]
+        explains = np.unpackbits(
+            cones & switching, axis=1, count=self.nl.n_nets, bitorder="little"
+        )
+        explain_count = explains.sum(axis=0)
+        best = int(explain_count.max())
+        if not best:
+            return []
         threshold = n_entries if best == n_entries else max(
             1, int(np.ceil(self.explain_fraction * best))
         )
-        return sorted(net for net, c in explain_count.items() if c >= threshold)
+        return np.flatnonzero(explain_count >= threshold).tolist()
 
     # ------------------------------------------------------------ sub-sample
     def _pattern_subset(self, log: FailureLog) -> Tuple[np.ndarray, TwoPatternResult]:
@@ -138,25 +161,24 @@ class EffectCauseDiagnoser:
         sub = self.good.subset(cols)
         return cols, sub
 
-    def _predicted_fails(
-        self, fault: Fault, sub: TwoPatternResult, cols: np.ndarray
-    ) -> Set[Tuple[int, int]]:
-        detections = self.machine.propagate(fault, sub)
-        predicted: Set[Tuple[int, int]] = set()
-        for obs_id, mask in self.obsmap.fail_masks(detections).items():
-            for p in np.nonzero(mask)[0]:
-                predicted.add((int(cols[p]), obs_id))
-        return predicted
+    def _fail_words(self, site: FaultSite, lanes: int, sub: TwoPatternResult) -> Dict[int, int]:
+        """Predicted tester fails: observation id → packed word over ``sub``.
 
-    @staticmethod
-    def _match(
-        predicted: Set[Tuple[int, int]], actual: Set[Tuple[int, int]]
-    ) -> Tuple[float, int, int, int]:
-        tfsf = len(predicted & actual)
-        tfsp = len(actual - predicted)
-        tpsf = len(predicted - actual)
-        denom = tfsf + tfsp + tpsf
-        return (tfsf / denom if denom else 0.0), tfsf, tfsp, tpsf
+        ``site`` flips in the pattern lanes ``lanes``.  Member-net
+        differences fold per observation exactly as the tester sees them:
+        XOR for parity compaction, OR for a signature register.
+        """
+        words: Dict[int, int] = {}
+        for net, diff in self.machine._propagate_lanes(site, lanes, sub).items():
+            for obs_id in self._obs_of_net.get(net, ()):
+                prev = words.get(obs_id)
+                if prev is None:
+                    words[obs_id] = diff
+                elif obs_id in self._or_obs:
+                    words[obs_id] = prev | diff
+                else:
+                    words[obs_id] = prev ^ diff
+        return words
 
     # ------------------------------------------------------------ phase 2+3
     def _sites_of_net(self, net_id: int) -> List[FaultSite]:
@@ -173,19 +195,31 @@ class EffectCauseDiagnoser:
         self,
         site: FaultSite,
         sub: TwoPatternResult,
-        cols: np.ndarray,
-        actual: Set[Tuple[int, int]],
+        actual: Dict[int, int],
+        n_actual: int,
     ) -> Optional[Candidate]:
+        # Both polarities in one propagation: their launch lanes are disjoint,
+        # so each polarity's fails are the shared words masked to its lanes.
+        launch = [
+            (polarity, self.machine._activation_int(Fault(site, polarity), sub))
+            for polarity in (Polarity.SLOW_TO_RISE, Polarity.SLOW_TO_FALL)
+        ]
+        words = self._fail_words(site, launch[0][1] | launch[1][1], sub)
         best: Optional[Candidate] = None
-        for polarity in (Polarity.SLOW_TO_RISE, Polarity.SLOW_TO_FALL):
-            predicted = self._predicted_fails(Fault(site, polarity), sub, cols)
-            score, tfsf, tfsp, tpsf = self._match(predicted, actual)
+        for polarity, lanes in launch:
+            tfsf = tpsf = 0
+            for obs_id, word in words.items():
+                word &= lanes
+                hit = word & actual.get(obs_id, 0)
+                tfsf += hit.bit_count()
+                tpsf += (word ^ hit).bit_count()
             if tfsf == 0:
                 continue
+            tfsp = n_actual - tfsf
             cand = Candidate(
                 site=site,
                 polarity=polarity,
-                score=score,
+                score=tfsf / (tfsf + tfsp + tpsf),
                 tier=site_tier(self.nl, site),
                 tfsf=tfsf,
                 tfsp=tfsp,
@@ -200,10 +234,15 @@ class EffectCauseDiagnoser:
         if not log.entries:
             return DiagnosisReport(candidates=[])
         cols, sub = self._pattern_subset(log)
-        col_set = set(int(c) for c in cols)
-        actual = {
-            (e.pattern, e.observation) for e in log.entries if e.pattern in col_set
-        }
+        # Observed fails as one packed word per observation over the subset
+        # columns (bit i = pattern cols[i]).
+        col_pos = {int(c): i for i, c in enumerate(cols)}
+        actual: Dict[int, int] = {}
+        for e in log.entries:
+            pos = col_pos.get(e.pattern)
+            if pos is not None:
+                actual[e.observation] = actual.get(e.observation, 0) | (1 << pos)
+        n_actual = sum(word.bit_count() for word in actual.values())
         suspects = self.suspect_nets(log)
 
         # Phase 2: one stem simulation per suspect net, rank nets by how many
@@ -212,7 +251,7 @@ class EffectCauseDiagnoser:
         stem_cand: Dict[int, Candidate] = {}
         net_rank: List[Tuple[Tuple[int, int, float], int]] = []
         for net_id in suspects:
-            cand = self._score_site(stem_site(self.nl, net_id), sub, cols, actual)
+            cand = self._score_site(stem_site(self.nl, net_id), sub, actual, n_actual)
             if cand is not None:
                 stem_cand[net_id] = cand
                 net_rank.append(((-cand.tfsf, cand.tpsf, -cand.score), net_id))
@@ -226,7 +265,7 @@ class EffectCauseDiagnoser:
                 if site.kind == "stem":
                     candidates.append(stem_cand[net_id])
                     continue
-                cand = self._score_site(site, sub, cols, actual)
+                cand = self._score_site(site, sub, actual, n_actual)
                 if cand is not None:
                     candidates.append(cand)
         if not candidates:

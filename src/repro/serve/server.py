@@ -14,6 +14,9 @@ everything waiting into block-diagonal forwards.  Routes:
 * ``GET /models`` — the registry listing (versions + active records).
 * ``POST /models/activate`` — atomic active-version swap.
 
+Every response leaves the handler in a single write on a ``TCP_NODELAY``
+socket, so no response waits on the client's delayed ACK.
+
 The stdin front-end (:func:`serve_stdin`) reads JSONL submissions, submits
 each line eagerly so the batcher can coalesce, and writes responses in input
 order.  Its backpressure is the pipe itself: when the queue is full the
@@ -77,6 +80,9 @@ class DiagnosisHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: DiagnosisHTTPServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection: with Nagle on, a response
+    # split across segments waits out the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # Route tables keep do_GET/do_POST flat.
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
@@ -113,11 +119,7 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.server.service
         doc = metrics_document(service.stats, service.tracer)
         body = render_prometheus(doc).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, body, "text/plain; version=0.0.4")
 
     def _activate(self) -> None:
         doc = self._read_json_body()
@@ -187,11 +189,7 @@ class _Handler(BaseHTTPRequestHandler):
             doc = err if future is None else future.result()
             out_lines.append(dumps_response(doc))
         body = ("\n".join(out_lines) + "\n").encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, body, "application/x-ndjson")
 
     # --------------------------------------------------------------- plumbing
     def _read_body(self) -> Optional[bytes]:
@@ -222,11 +220,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, doc: Dict[str, Any]) -> None:
         body = (dumps_response(doc) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body, "application/json")
+
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
+        """Write status line, headers and body in one ``wfile.write``."""
+        self.log_request(status)
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route access logs to stats instead of stderr noise."""

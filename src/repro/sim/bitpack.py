@@ -82,6 +82,8 @@ def rows_to_ints(words: np.ndarray) -> list:
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim == 1:
         words = words[None, :]
+    if words.shape[-1] == 1:
+        return words[:, 0].tolist()
     row_bytes = words.shape[-1] * 8
     blob = words.tobytes()
     return [

@@ -111,8 +111,16 @@ class FaultMachine:
 
     def _propagate_ints(self, fault: Fault, good: TwoPatternResult) -> Dict[int, int]:
         """Packed propagate core: observed-net id → big-int difference word."""
-        site = fault.site
-        act = self._activation_int(fault, good)
+        return self._propagate_lanes(fault.site, self._activation_int(fault, good), good)
+
+    def _propagate_lanes(
+        self, site: FaultSite, act: int, good: TwoPatternResult
+    ) -> Dict[int, int]:
+        """Packed propagate of a flip of ``site`` in the pattern lanes ``act``.
+
+        Lanes are independent, so flipping the lanes of both polarities at
+        once yields each polarity's differences as ``diff & act_polarity``.
+        """
         if not act:
             return {}
         iv2 = good.v2_ints()

@@ -39,6 +39,17 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("command", ["demo", "serve"])
+@pytest.mark.parametrize("gates", ["0", "-5", "many"])
+def test_non_positive_gates_rejected_at_parse(command, gates, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--gates", gates])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--gates" in err
+    assert "positive integer" in err or "invalid int value" in err
+
+
 # ------------------------------------------------------------------ doctor
 def test_doctor_requires_cache_dir(monkeypatch, capsys):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

@@ -6,8 +6,10 @@ a response produced by the live batched server is byte-identical (after
 ``pipeline.diagnose`` serialization of the same datalog.
 """
 
+import http.client
 import io
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -416,6 +418,79 @@ class TestHTTP:
         httpd.shutdown()
         httpd.server_close()
         batcher.close()
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile`` and records the size of every write."""
+
+    def __init__(self, raw, writes):
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(len(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+class TestSingleWriteResponses:
+    """No response can stall on Nagle + delayed ACK: checked by counting.
+
+    Every accepted connection must carry TCP_NODELAY, and every response —
+    single JSON, JSONL, metrics, errors — must leave the handler in exactly
+    one write.  Writes are counted, never timed.
+    """
+
+    def test_nodelay_and_one_write_per_response(self, serving, chips, monkeypatch):
+        from repro.serve import server as server_mod
+
+        client, _service, _batcher, _record = serving
+        _items, _reports, logs = chips
+        connections = []  # (TCP_NODELAY value, write sizes) per connection
+        setup = server_mod._Handler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            writes = []
+            nodelay = handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+            connections.append((nodelay, writes))
+            handler.wfile = _CountingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(server_mod._Handler, "setup", counting_setup)
+        jsonl = "\n".join(
+            json.dumps({"id": f"j{i}", "datalog": log}) for i, log in enumerate(logs[:2])
+        )
+        exchanges = [
+            ("POST", "/diagnose", json.dumps({"datalog": logs[0]}), {}, 200),
+            ("POST", "/diagnose", jsonl, {}, 200),
+            ("GET", "/metrics", None, {}, 200),
+            ("GET", "/healthz", None, {}, 200),
+            ("GET", "/nope", None, {}, 404),
+            ("POST", "/diagnose", "{broken", {}, 400),
+            # Last: the unread oversized body leaves the connection unusable.
+            ("POST", "/diagnose", "x", {"Content-Length": str(10**12)}, 413),
+        ]
+        host, port = client.base_url.rsplit("/", 1)[-1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+            for n_done, (method, path, body, headers, status) in enumerate(
+                exchanges, start=1
+            ):
+                conn.request(method, path, body=body, headers=headers)
+                resp = conn.getresponse()
+                payload = resp.read()
+                assert resp.status == status, (path, payload[:200])
+                assert int(resp.getheader("Content-Length")) == len(payload)
+                assert len(connections) == 1  # one keep-alive connection
+                nodelay, writes = connections[0]
+                assert nodelay, "accepted connection lacks TCP_NODELAY"
+                assert len(writes) == n_done, f"{method} {path} took {writes}"
+        finally:
+            conn.close()
 
 
 # ----------------------------------------------------- fuzz / malformed input
