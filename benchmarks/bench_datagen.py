@@ -37,6 +37,7 @@ from conftest import run_once
 from repro.data import DesignConfig
 from repro.netlist import GeneratorSpec
 from repro.netlist.generators import generate
+from repro.obs import SpanTracer
 from repro.runtime import DatasetRuntime, RuntimeStats, sample_set_fingerprint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -108,8 +109,9 @@ def _bench_datagen(scale):
         _ds_cold, t_cold = _timed_build(rt_cold, design, n_samples)
         assert sample_set_fingerprint(_ds_cold) == digest
 
-        warm_stats = RuntimeStats()
-        rt_warm = DatasetRuntime(workers=1, cache_dir=cache_dir, stats=warm_stats)
+        warm_stats, warm_tracer = RuntimeStats(), SpanTracer()
+        rt_warm = DatasetRuntime(workers=1, cache_dir=cache_dir, stats=warm_stats,
+                                 tracer=warm_tracer)
         t0 = time.perf_counter()
         design_warm = rt_warm.prepare(spec, DesignConfig.standard("Syn-1"), **kwargs)
         ds_warm, t_warm = _timed_build(rt_warm, design_warm, n_samples)
@@ -118,7 +120,7 @@ def _bench_datagen(scale):
         warm_skipped_simulation = (
             warm_stats.counters.get("dataset.chunks_built", 0) == 0
             and warm_stats.counters.get("prepare.designs_built", 0) == 0
-            and "dataset.inject" not in warm_stats.stage_seconds
+            and "dataset.chunk" not in warm_tracer.export()
         )
 
         t0 = time.perf_counter()

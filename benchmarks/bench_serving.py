@@ -115,6 +115,7 @@ def _core_arm(design, fw, submissions, max_batch):
     batcher.close()
     assert all(doc["ok"] for doc in docs), "serving arm produced errors"
     batches = stats.counters.get("serve.batches", 1)
+    atpg = service.tracer.export()["serve.batch.serve.atpg"]
     return {
         "max_batch": max_batch,
         "n_requests": len(docs),
@@ -123,7 +124,7 @@ def _core_arm(design, fw, submissions, max_batch):
         "batches": batches,
         "mean_batch_size": round(len(docs) / batches, 2),
         "effect_cause_ms_per_chip": round(
-            stats.stage_seconds.get("serve.atpg", 0.0) / len(docs) * 1e3, 4
+            atpg["seconds"] / len(docs) * 1e3, 4
         ),
     }
 

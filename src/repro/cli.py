@@ -44,14 +44,23 @@ TABLE_CHOICES = (
 )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for sizes: an integer >= 1."""
+#: Smallest ``--gates`` the demo/serve designs can be generated at: they
+#: have at least 16 flops and 16 primary outputs, each driven by a gate.
+MIN_GATES = 32
+
+
+def _gates(text: str) -> int:
+    """argparse type for ``--gates``: an integer >= :data:`MIN_GATES`."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < MIN_GATES:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {MIN_GATES} (16 flops + 16 primary outputs), got {value}"
+        )
     return value
 
 
@@ -73,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed artifact cache directory "
                             "(default: $REPRO_CACHE_DIR or no cache)")
         p.add_argument("--stats-out", default=None, metavar="FILE",
-                       help="write a metrics snapshot (span tree, stage "
-                            "timings, cache/faulttol counters) on exit — "
+                       help="write a metrics snapshot (span tree, "
+                            "cache/faulttol counters) on exit — "
                             "JSON by default, Prometheus textfile for "
                             ".prom/.txt; render with `repro stats FILE`")
 
     demo = sub.add_parser("demo", help="end-to-end single-chip diagnosis demo")
-    demo.add_argument("--gates", type=_positive_int, default=400, help="design size")
+    demo.add_argument("--gates", type=_gates, default=400, help="design size")
     demo.add_argument("--seed", type=int, default=7)
     demo.add_argument("--nn-backend", default=None, metavar="SPEC",
                       help="tensor backend for the GNN models (numpy, torch, "
@@ -174,13 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a metrics snapshot written by --stats-out",
         description="Render a JSON metrics document (written by the demo/"
         "tables --stats-out flag): the hierarchical span tree, the top-N "
-        "stages by wall-clock, per-kind cache hit ratios, and fault-"
+        "span paths by wall-clock, per-kind cache hit ratios, and fault-"
         "tolerance events (retries, timeouts, pool respawns, degradations).",
     )
     stats.add_argument("metrics", metavar="FILE",
                        help="JSON metrics file (--stats-out output)")
     stats.add_argument("--top", type=int, default=10, metavar="N",
-                       help="stages to list in the wall-clock ranking "
+                       help="span paths to list in the wall-clock ranking "
                             "(default: 10)")
 
     serve = sub.add_parser(
@@ -202,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stdin", dest="stdin_mode", action="store_true",
                        help="serve JSONL submissions from stdin, responses "
                             "to stdout (combinable with --http)")
-    serve.add_argument("--gates", type=_positive_int, default=300, help="design size")
+    serve.add_argument("--gates", type=_gates, default=300, help="design size")
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--configs", default="Syn-1", metavar="LIST",
                        help="comma-separated design configs to serve "
@@ -327,6 +336,13 @@ def _resume_hint(cache_dir_used: bool) -> str:
             "interruption resumable")
 
 
+def _print_trace(rt, heading: str) -> None:
+    """The run's span tree (its only timer) followed by its counters."""
+    from repro.obs import render_span_tree
+
+    print(f"\n{heading}{render_span_tree(rt.tracer.export())}\n\n{rt.stats.report()}")
+
+
 def _write_stats_out(rt, stats_out: Optional[str]) -> None:
     """Export the run's metrics snapshot (JSON or Prometheus textfile)."""
     if not stats_out:
@@ -368,6 +384,7 @@ def _cmd_demo(gates: int, seed: int, workers: Optional[int] = None,
             code = _demo_body(rt, gates, seed, nn_backend)
     except KeyboardInterrupt:
         return _interrupted(rt, stats_out)
+    _print_trace(rt, "")
     _write_stats_out(rt, stats_out)
     return code
 
@@ -404,9 +421,6 @@ def _demo_body(rt, gates: int, seed: int, nn_backend: Optional[str] = None) -> i
     print(f"accurate={report_is_accurate(result.report, chip.faults)} "
           f"first-hit={first_hit_index(result.report, chip.faults)} "
           f"predicted tier={result.predicted_tier} (p={result.confidence:.2f})")
-    report_text = rt.stats.report()
-    if report_text:
-        print(f"\n{report_text}")
     return 0
 
 
@@ -421,6 +435,8 @@ def _cmd_tables(scale: str, samples: int, only: Optional[str],
             code = _tables_body(rt, scale, samples, only, resume)
     except KeyboardInterrupt:
         return _interrupted(rt, stats_out)
+    if code == 0:
+        _print_trace(rt, "================ runtime ================\n")
     _write_stats_out(rt, stats_out)
     return code
 
@@ -503,9 +519,6 @@ def _tables_body(rt, scale: str, samples: int, only: Optional[str],
         ex.transferability_study(n_samples=samples, scale=scale), "Tate"))
     run("three-tier", lambda: format_three_tier(
         three_tier_study(n_test=samples, n_train=max(120, samples * 3), scale=scale)))
-    report_text = rt.stats.report()
-    if report_text:
-        print(f"\n================ runtime ================\n{report_text}")
     return 0
 
 

@@ -153,9 +153,8 @@ class M3DDiagnosisFramework:
         Args:
             training_sets: Injected sample sets (one per augmentation design).
             stats_sink: Optional shared :class:`RuntimeStats` receiving the
-                per-stage wall-clock (``fit.tier`` / ``fit.miv`` /
-                ``fit.classifier``) — the runtime and CLI pass theirs so
-                training shows up next to dataset-generation timings.
+                ``fit.<stage>.resumed`` counters — the runtime and CLI pass
+                theirs so training shows up next to dataset generation.
             checkpoint: Optional :class:`repro.runtime.ArtifactCache`.  Each
                 training stage (tier / miv / threshold / classifier) is then
                 checkpointed under a key derived from the training-set
@@ -163,7 +162,7 @@ class M3DDiagnosisFramework:
                 re-invoked on the same data resumes, loading completed
                 stages instead of retraining them (visible as
                 ``fit.<stage>.resumed`` counters with no ``fit.<stage>``
-                wall-clock entry).
+                span and no ``fit_<stage>_s`` entry).
             tracer: Optional span tracer; each training stage records a
                 ``fit.<stage>`` span (nested under the caller's active
                 span) and honours the ``REPRO_PROFILE`` per-stage
@@ -172,19 +171,31 @@ class M3DDiagnosisFramework:
 
         Returns summary statistics: training accuracy of the Tier-predictor,
         the selected ``Tp``, the TP:FP imbalance seen by the Classifier, and
-        per-stage training seconds.
+        ``fit_<stage>_s`` seconds for each stage this call trained.
         """
-        timer = stats_sink if stats_sink is not None else RuntimeStats()
+        counters = stats_sink if stats_sink is not None else RuntimeStats()
         tr = tracer if tracer is not None else SpanTracer()
         # Refitting replaces the models: every cached bound policy is stale.
         self._policy_cache.clear()
+        # The stages record into a tracer private to this call, so the
+        # returned seconds are this fit's alone even when the caller's tracer
+        # already holds earlier fits; the buffer then joins the caller's tree.
+        stages = SpanTracer()
         with tr.span("fit"):
-            return self._fit_impl(training_sets, timer, tr, checkpoint)
+            try:
+                stats = self._fit_impl(training_sets, counters, stages, checkpoint)
+            finally:
+                spans = stages.export()
+                tr.merge(spans)
+        for stage, rec in spans.items():
+            if "." not in stage:
+                stats[f"fit_{stage}_s"] = float(rec["seconds"])  # type: ignore[arg-type]
+        return stats
 
     def _fit_impl(
         self,
         training_sets: Sequence[SampleSet],
-        timer: RuntimeStats,
+        counters: RuntimeStats,
         tr: SpanTracer,
         checkpoint: Optional["ArtifactCache"],
     ) -> Dict[str, float]:
@@ -201,7 +212,7 @@ class M3DDiagnosisFramework:
                 return None, False
             payload, hit = checkpoint.get("fit_stage", {**ckpt_key, "stage": stage})
             if hit:
-                timer.count(f"fit.{stage}.resumed")
+                counters.count(f"fit.{stage}.resumed")
             return payload, hit
 
         def stage_save(stage: str, payload: object) -> None:
@@ -213,7 +224,7 @@ class M3DDiagnosisFramework:
         if hit:
             self.tier_predictor = payload
         else:
-            with timer.timed("fit.tier"), profiled("fit-tier", tr), tr.span("tier"):
+            with profiled("fit-tier", tr), tr.span("tier"):
                 self.tier_predictor.fit(tier_graphs)
             stage_save("tier", self.tier_predictor)
 
@@ -226,7 +237,7 @@ class M3DDiagnosisFramework:
                     g for g in graphs if g.node_mask is not None and g.node_mask.any()
                 ]
                 if miv_graphs:
-                    with timer.timed("fit.miv"), profiled("fit-miv", tr), tr.span("miv"):
+                    with profiled("fit-miv", tr), tr.span("miv"):
                         self.miv_pinpointer.fit(miv_graphs)
                 else:
                     self.miv_pinpointer = None
@@ -237,8 +248,7 @@ class M3DDiagnosisFramework:
         if hit:
             self.tp_threshold, conf, correct = payload
         else:
-            with timer.timed("fit.threshold"), profiled("fit-threshold", tr), \
-                    tr.span("threshold"):
+            with profiled("fit-threshold", tr), tr.span("threshold"):
                 proba = self.tier_predictor.predict_proba(tier_graphs)
                 preds = np.argmax(proba, axis=1)
                 conf = proba.max(axis=1)
@@ -271,15 +281,11 @@ class M3DDiagnosisFramework:
                         seed=self.seed + 2,
                         backend=self.nn_backend,
                     )
-                    with timer.timed("fit.classifier"), profiled("fit-classifier", tr), \
-                            tr.span("classifier"):
+                    with profiled("fit-classifier", tr), tr.span("classifier"):
                         self.classifier.fit(tp_graphs, fp_graphs)
                 stage_save("classifier", (self.classifier, n_tp, n_fp))
             stats["n_true_positive"] = float(n_tp)
             stats["n_false_positive"] = float(n_fp)
-        for stage, seconds in timer.stage_seconds.items():
-            if stage.startswith("fit."):
-                stats[f"{stage.replace('.', '_')}_s"] = seconds
         self._fitted = True
         return stats
 

@@ -189,7 +189,7 @@ def get_atpg_reports(
     diag = get_diagnoser(name, config_name, mode, scale)
     rt = get_runtime()
     t0 = time.perf_counter()
-    with rt.stats.timed("atpg.diagnose"), rt.tracer.span("atpg.diagnose"):
+    with rt.tracer.span("atpg.diagnose"):
         reports = tuple(diag.diagnose(item.sample.log) for item in dataset.items)
         rt.tracer.count("reports", len(reports))
     return reports, time.perf_counter() - t0

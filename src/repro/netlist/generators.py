@@ -127,7 +127,16 @@ def generate(spec: GeneratorSpec, rng: Optional[random.Random] = None) -> Netlis
     construction (:func:`_generate_large`) with the same structural
     guarantees; below the threshold the original algorithm (and therefore
     every previously generated netlist) is unchanged byte-for-byte.
+
+    Raises:
+        ValueError: ``n_gates < n_flops + n_pos``; every flop D pin and
+            every primary output needs a gate output of its own.
     """
+    if spec.n_gates < spec.n_flops + spec.n_pos:
+        raise ValueError(
+            f"{spec.name}: n_gates={spec.n_gates} is below n_flops + n_pos = "
+            f"{spec.n_flops + spec.n_pos}"
+        )
     if spec.n_gates >= LARGE_GATE_THRESHOLD:
         return _generate_large(spec, rng)
     flavor = FLAVORS[spec.flavor]

@@ -8,8 +8,9 @@ them without cycles):
   thread-safe recording, and worker-process buffers merged back through
   the runtime's existing result channel;
 * :mod:`~repro.obs.metrics` — stable-schema JSON and Prometheus-textfile
-  exporters fed from :class:`repro.runtime.RuntimeStats` plus the span
-  tree (the ``--stats-out`` flag, rendered by ``repro stats``);
+  exporters fed from the span tree (the only timer) plus the
+  :class:`repro.runtime.RuntimeStats` counters (the ``--stats-out`` flag,
+  rendered by ``repro stats``);
 * :mod:`~repro.obs.profile` — opt-in per-unit profiling
   (``REPRO_PROFILE=cprofile|spans``) wrapping runtime work units and
   ``pipeline.fit`` stages.

@@ -1,17 +1,17 @@
 """Metrics export: stable-schema JSON and Prometheus textfiles.
 
 One *metrics document* snapshots everything the runtime knows about a run:
-per-stage wall-clock (:class:`repro.runtime.RuntimeStats`), the span tree
-(:class:`repro.obs.SpanTracer`), free-form counters, and three derived views
-(cache hit ratios per artifact kind, fault-tolerance events, distributed-
-runtime events) that the ``repro stats`` renderer and dashboards both want
-pre-computed.
+the span tree (:class:`repro.obs.SpanTracer`, the only wall-clock source),
+the free-form counters (:class:`repro.runtime.RuntimeStats`), and derived
+views (cache hit ratios per artifact kind, fault-tolerance, distributed-
+runtime and serving events) that the ``repro stats`` renderer and
+dashboards both want pre-computed.
 
 The JSON schema is versioned (:data:`METRICS_SCHEMA`) and additive-only:
 consumers pin ``schema`` and ignore unknown keys.  The Prometheus writer
 emits the node-exporter *textfile collector* format — drop the file into
-``--collector.textfile.directory`` and every stage/span/counter scrapes as
-a labelled counter.  Metrics are observability sideband: they are never
+``--collector.textfile.directory`` and every span/counter scrapes as a
+labelled counter.  Metrics are observability sideband: they are never
 hashed into cache keys or dataset fingerprints.
 
 Self-contained (no :mod:`repro` imports); stats objects are duck-typed via
@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 #: Version of the JSON metrics schema.  Bump only on breaking shape changes;
-#: additions are backwards-compatible and do not bump.
-METRICS_SCHEMA = 1
+#: additions are backwards-compatible and do not bump.  Schema 2 dropped the
+#: ``stages`` view: every interval is a span path.
+METRICS_SCHEMA = 2
 
 #: File suffixes routed to the Prometheus-textfile writer by
 #: :func:`write_metrics`; anything else gets JSON.
@@ -50,8 +51,6 @@ _PROM_SUFFIXES = (".prom", ".txt")
 class StatsLike(Protocol):
     """Structural view of :class:`repro.runtime.RuntimeStats`."""
 
-    stage_seconds: Dict[str, float]
-    stage_calls: Dict[str, int]
     counters: Dict[str, int]
 
 
@@ -145,7 +144,7 @@ def metrics_document(stats: StatsLike, tracer: Optional[SpanTracer] = None,
     """The stable-schema metrics document for one run.
 
     Args:
-        stats: Stage timings and counters (any :class:`StatsLike`).
+        stats: Event counters (any :class:`StatsLike`).
         tracer: Span source; ignored when ``spans`` is given explicitly.
         spans: Pre-exported span map (e.g. loaded from another process).
     """
@@ -153,13 +152,6 @@ def metrics_document(stats: StatsLike, tracer: Optional[SpanTracer] = None,
         spans = tracer.export() if tracer is not None else {}
     return {
         "schema": METRICS_SCHEMA,
-        "stages": {
-            name: {
-                "seconds": stats.stage_seconds[name],
-                "calls": stats.stage_calls.get(name, 0),
-            }
-            for name in sorted(stats.stage_seconds)
-        },
         "counters": {k: stats.counters[k] for k in sorted(stats.counters)},
         "spans": {k: spans[k] for k in sorted(spans)},
         "cache": _cache_view(stats.counters),
@@ -176,10 +168,6 @@ def _prom_escape(value: str) -> str:
 
 def _prom_lines(doc: Dict[str, Any]) -> Iterable[str]:
     series = (
-        ("repro_stage_seconds_total", "Accumulated wall-clock per stage.",
-         "stage", {k: v["seconds"] for k, v in doc["stages"].items()}),
-        ("repro_stage_calls_total", "Timed intervals per stage.",
-         "stage", {k: v["calls"] for k, v in doc["stages"].items()}),
         ("repro_span_seconds_total", "Accumulated wall-clock per span path.",
          "span", {k: v["seconds"] for k, v in doc["spans"].items()}),
         ("repro_span_calls_total", "Completed spans per span path.",
@@ -252,18 +240,20 @@ def load_metrics(path: Union[str, os.PathLike]) -> Dict[str, Any]:
 def render_metrics(doc: Dict[str, Any], top: int = 10) -> str:
     """Human-readable rendering of a metrics document (``repro stats``).
 
-    Sections: the span tree, the top-N stages by total seconds, cache hit
-    ratios per artifact kind, and fault-tolerance events (retries, timeouts,
-    pool respawns, degradations, aborts) — the questions "where did the time
-    go", "did the cache help", and "what went wrong" in one screen.
+    Sections: the span tree, the top-N span paths by total seconds, cache
+    hit ratios per artifact kind, and fault-tolerance events (retries,
+    timeouts, pool respawns, degradations, aborts) — the questions "where
+    did the time go", "did the cache help", and "what went wrong" in one
+    screen.
     """
-    lines = [render_span_tree(doc.get("spans", {}))]
+    spans = doc.get("spans", {})
+    lines = [render_span_tree(spans)]
 
-    stages = doc.get("stages", {})
-    if stages:
-        ranked = sorted(stages.items(), key=lambda kv: (-kv[1]["seconds"], kv[0]))[:top]
+    timed = {path: rec for path, rec in spans.items() if rec.get("calls")}
+    if timed:
+        ranked = sorted(timed.items(), key=lambda kv: (-kv[1]["seconds"], kv[0]))[:top]
         width = max(len(name) for name, _ in ranked)
-        lines.append(f"\ntop {len(ranked)} stage(s) by wall-clock:")
+        lines.append(f"\ntop {len(ranked)} span(s) by wall-clock:")
         for name, entry in ranked:
             lines.append(
                 f"  {name:<{width}s} {entry['seconds']:9.3f}s {entry['calls']:6d} calls"

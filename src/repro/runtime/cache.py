@@ -144,13 +144,13 @@ class ArtifactCache:
     Args:
         cache_dir: Root directory; created on first write.
         stats: Optional shared :class:`RuntimeStats` receiving
-            ``cache.<kind>.hit`` / ``cache.<kind>.miss`` counters and load /
-            store stage timings.
+            ``cache.<kind>.hit`` / ``cache.<kind>.miss`` counters.
         chaos: Optional :class:`repro.runtime.chaos.ChaosPlan`; when set,
             freshly written entries may be deliberately damaged so the
             recovery paths stay exercised.
-        tracer: Optional span tracer; ``cache.load`` / ``cache.store``
-            spans nest under whatever span is active at call time.
+        tracer: Optional span tracer; ``cache.<kind>.load`` /
+            ``cache.<kind>.store`` spans nest under whatever span is active
+            at call time.
     """
 
     def __init__(self, cache_dir: Union[str, Path],
@@ -226,7 +226,7 @@ class ArtifactCache:
             self._evict(path)
             return None, False
         try:
-            with self.stats.timed(f"cache.{kind}.load"), self.tracer.span("cache.load"):
+            with self.tracer.span(f"cache.{kind}.load"):
                 with open(path, "rb") as fh:
                     data = fh.read()
                 if hashlib.sha256(data).hexdigest() != sidecar_doc["payload_sha256"]:
@@ -254,7 +254,7 @@ class ArtifactCache:
         digest = cache_key_hash(key)
         path = self._path(kind, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with self.stats.timed(f"cache.{kind}.store"), self.tracer.span("cache.store"):
+        with self.tracer.span(f"cache.{kind}.store"):
             payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
             sidecar = self._sidecar(path)
             _atomic_write_bytes(sidecar, self._sidecar_doc(canonical_key(key), payload))

@@ -1,16 +1,15 @@
-"""Timing and progress instrumentation for the dataset-generation runtime.
+"""Counter and progress instrumentation for the dataset-generation runtime.
 
-Self-contained (no :mod:`repro` imports) so any layer — the runtime, the
-training pipeline, the CLI — can record into one :class:`RuntimeStats`
-without import cycles.
+Wall-clock lives in spans (:mod:`repro.obs.spans`); :class:`RuntimeStats`
+keeps the event counters and the progress sink.  Self-contained (no
+:mod:`repro` imports) so any layer — the runtime, the training pipeline,
+the CLI — can record into one :class:`RuntimeStats` without import cycles.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict
 
 __all__ = ["RuntimeStats", "null_progress"]
 
@@ -21,35 +20,18 @@ def null_progress(message: str) -> None:
 
 @dataclass
 class RuntimeStats:
-    """Per-stage wall-clock totals plus cache hit/miss counters.
+    """Event counters plus the progress sink.
 
     Attributes:
-        stage_seconds: Accumulated wall-clock per stage name.  Stage names
-            are dotted paths (``"prepare.build"``, ``"dataset.inject"``) so
-            reports group naturally.
-        stage_calls: Number of timed intervals per stage.
         counters: Free-form event counters (cache hits/misses, samples,
-            chunks, workers used).
+            chunks, workers used).  Names are dotted paths
+            (``"cache.design.hit"``, ``"dataset.chunks_built"``) so reports
+            group naturally.
         progress: Callable invoked with one-line progress messages.
     """
 
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    stage_calls: Dict[str, int] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     progress: Callable[[str], None] = field(default=null_progress, repr=False)
-
-    @contextmanager
-    def timed(self, stage: str) -> Iterator[None]:
-        """Context manager accumulating the enclosed wall-clock into ``stage``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(stage, time.perf_counter() - t0)
-
-    def add_time(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-        self.stage_calls[stage] = self.stage_calls.get(stage, 0) + 1
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -92,25 +74,15 @@ class RuntimeStats:
 
     def merge(self, other: "RuntimeStats") -> None:
         """Fold another stats object (e.g. from a worker) into this one."""
-        for k, v in other.stage_seconds.items():
-            self.stage_seconds[k] = self.stage_seconds.get(k, 0.0) + v
-        for k, v in other.stage_calls.items():
-            self.stage_calls[k] = self.stage_calls.get(k, 0) + v
         for k, v in other.counters.items():
             self.counters[k] = self.counters.get(k, 0) + v
 
     def report(self) -> str:
-        """Human-readable multi-line summary (stages then counters)."""
+        """Human-readable multi-line summary of the counters."""
         lines = ["runtime stats:"]
-        # Size the name column to the longest key so dotted span-style paths
-        # (easily past 28 chars) cannot shove the value columns out of line.
-        keys = list(self.stage_seconds) + list(self.counters)
-        width = max([28, *(len(k) for k in keys)]) if keys else 28
-        for stage in sorted(self.stage_seconds):
-            lines.append(
-                f"  {stage:{width}s} {self.stage_seconds[stage]:8.2f}s"
-                f"  ({self.stage_calls.get(stage, 0)} calls)"
-            )
+        # Size the name column to the longest key so long dotted names
+        # (easily past 28 chars) cannot shove the value column out of line.
+        width = max([28, *(len(k) for k in self.counters)])
         for name in sorted(self.counters):
             lines.append(f"  {name:{width}s} {self.counters[name]:8d}")
         if len(lines) == 1:
@@ -118,6 +90,4 @@ class RuntimeStats:
         return "\n".join(lines)
 
     def clear(self) -> None:
-        self.stage_seconds.clear()
-        self.stage_calls.clear()
         self.counters.clear()

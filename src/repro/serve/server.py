@@ -198,12 +198,15 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread and would parse as the next request:
+            # answer, then close the connection.
             self._send_json(
                 413,
                 error_response(
                     "body_too_large",
                     f"request body must be 0..{MAX_BODY_BYTES} bytes",
                 ),
+                close=True,
             )
             return None
         return self.rfile.read(length)
@@ -218,21 +221,29 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, error_response("bad_json", f"invalid JSON: {exc}"))
             return None
 
-    def _send_json(self, status: int, doc: Dict[str, Any]) -> None:
+    def _send_json(self, status: int, doc: Dict[str, Any], close: bool = False) -> None:
         body = (dumps_response(doc) + "\n").encode("utf-8")
-        self._send(status, body, "application/json")
+        self._send(status, body, "application/json", close)
 
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
-        """Write status line, headers and body in one ``wfile.write``."""
+    def _send(self, status: int, body: bytes, content_type: str,
+              close: bool = False) -> None:
+        """Write status line, headers and body in one ``wfile.write``.
+
+        ``close`` announces ``Connection: close`` and ends the connection
+        after this response.
+        """
         self.log_request(status)
         head = (
             f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
             f"Server: {self.version_string()}\r\n"
             f"Date: {self.date_time_string()}\r\n"
             f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
+            f"Content-Length: {len(body)}\r\n"
         )
-        self.wfile.write(head.encode("latin-1") + body)
+        if close:
+            self.close_connection = True
+            head += "Connection: close\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route access logs to stats instead of stderr noise."""

@@ -78,7 +78,7 @@ class DiagnosisService:
         registry: Versioned model store; requests resolve the *active*
             record for their design's configuration at batch time.
         designs: Served designs by name.
-        stats: Counter/timing sink shared with the front-ends.
+        stats: Counter sink shared with the front-ends.
         tracer: Span sink (``serve.batch`` / ``serve.atpg`` /
             ``serve.infer``).
     """
@@ -127,9 +127,7 @@ class DiagnosisService:
         """Turn one drained queue slice into one response per item."""
         t_batch = time.perf_counter()
         with self.tracer.span("serve.batch"):
-            responses = self._process_batch_impl(items, t_batch)
-        self.stats.add_time("serve.batch", time.perf_counter() - t_batch)
-        return responses
+            return self._process_batch_impl(items, t_batch)
 
     def _process_batch_impl(
         self, items: List[BatchItem], t_batch: float
@@ -188,7 +186,6 @@ class DiagnosisService:
                     else:
                         reports.append(ctx.diagnoser(mode).diagnose(parsed[i][4]))
                 atpg_s = time.perf_counter() - t0
-            self.stats.add_time("serve.atpg", atpg_s)
 
             with self.tracer.span("serve.infer"):
                 t0 = time.perf_counter()
@@ -199,7 +196,6 @@ class DiagnosisService:
                     stats=self.stats,
                 )
                 infer_s = time.perf_counter() - t0
-            self.stats.add_time("serve.infer", infer_s)
 
             for i, result in zip(members, results):
                 submission, ctx_i, mode_i, chip_id, _log = parsed[i]

@@ -167,12 +167,6 @@ class TwoPatternResult:
         """Packed transition mask words (tail bits are zero)."""
         return self.packed_v1 ^ self.packed_v2
 
-    def rising_packed(self) -> np.ndarray:
-        return ~self.packed_v1 & self.packed_v2
-
-    def falling_packed(self) -> np.ndarray:
-        return self.packed_v1 & ~self.packed_v2
-
 
 class _LevelGroup:
     """All gates of one cell type within one topological level."""
@@ -209,11 +203,6 @@ class CompiledSimulator:
         #: sites recur across patterns, configs, and multi-fault draws, so
         #: each cone is derived at most once per compiled simulator.
         self._cone_cache: Dict[Tuple[int, ...], List[int]] = {}
-        #: Compiled cone evaluation plans (gate id, kernel, fanin, out) for
-        #: the packed re-simulation, memoized by the same start-gate key.
-        self._plan_cache: Dict[
-            Tuple[int, ...], List[Tuple[int, PackedFn, Tuple[int, ...], int]]
-        ] = {}
         #: Generated straight-line propagation functions per start-gate key.
         self._prop_fn_cache: Dict[Tuple[int, ...], object] = {}
         #: Marshaled code objects + kernel bindings for generated cone
@@ -221,8 +210,8 @@ class CompiledSimulator:
         #: design loaded from the artifact cache (or a pool's shared-memory
         #: spill) skips the dominant ``compile()`` cost of warming cones.
         self._cone_code: Dict[Tuple[int, ...], Tuple[bytes, Tuple[Tuple[int, int], ...]]] = {}
-        #: Per-gate packed kernels, resolved once so cone-plan construction
-        #: and the packed resimulation never hash cell types per call.
+        #: Per-gate packed kernels, resolved once so cone-function
+        #: construction never hashes cell types per gate.
         self._gate_kernels: List[PackedFn] = [packed_eval(g.cell) for g in nl.gates]
         self._groups: List[_LevelGroup] = self._compile_levels() if packed else []
 
@@ -407,30 +396,6 @@ class CompiledSimulator:
                 modified[g.out] = new
         return modified
 
-    def cone_plan(
-        self, start_gates: Sequence[int]
-    ) -> Tuple[List[Tuple[int, PackedFn, Tuple[int, ...], int]], Dict[int, int]]:
-        """Compiled evaluation plan for a fan-out cone, memoized per key.
-
-        One plan entry per cone gate in topological order: ``(gate_id,
-        packed_kernel, fanin_nets, out_net)``, plus a gate-id → plan-index
-        map.  Caching the plan — not just the gate-id list — means repeated
-        ``propagate`` calls on the same fault site never re-touch
-        ``Gate``/``CellType`` objects.
-        """
-        key = tuple(sorted(set(start_gates)))
-        cached = self._plan_cache.get(key)
-        if cached is None:
-            gates = self.nl.gates
-            kernels = self._gate_kernels
-            plan = []
-            for gid in self.fanout_cone(key):
-                g = gates[gid]
-                plan.append((gid, kernels[gid], tuple(g.fanin), g.out))
-            cached = (plan, {gid: i for i, (gid, _f, _fi, _o) in enumerate(plan)})
-            self._plan_cache[key] = cached
-        return cached
-
     def propagation_fn(self, start_gates: Sequence[int]):
         """Generated straight-line propagation function for one cone.
 
@@ -447,9 +412,7 @@ class CompiledSimulator:
         fault-free value), ``full`` the all-ones mask, and ``vm`` the
         valid-lane mask (:attr:`TwoPatternResult.valid_mask`) that strips
         tail-lane artifacts from the reported diffs.  It returns
-        ``{observed net id → nonzero diff row}``.  Unlike
-        :meth:`resimulate_packed` it does not support ``net_override`` and
-        reports observed nets only.
+        ``{observed net id → nonzero diff row}``: observed nets only.
         """
         key = tuple(sorted(set(start_gates)))
         fn = self._prop_fn_cache.get(key)
@@ -521,62 +484,3 @@ class CompiledSimulator:
         ns: Dict[str, object] = {"_K": kernels}
         exec(code, ns)
         return ns["_prop"]
-
-    def resimulate_packed(
-        self,
-        base_ints: Sequence[int],
-        start_gates: Sequence[int],
-        input_override: Dict[Tuple[int, int], int],
-        full_mask: int,
-        net_override: Optional[Dict[int, int]] = None,
-    ) -> Dict[int, int]:
-        """Packed-word counterpart of :meth:`resimulate_with_overrides`.
-
-        ``base_ints`` holds one arbitrary-precision Python int per net (from
-        :meth:`TwoPatternResult.v2_ints`), bit ``p`` = pattern ``p``; the
-        override values are ints in the same layout and ``full_mask`` is the
-        all-ones mask over every bit lane.  Big-int rows make each gate
-        evaluation one or two C-level bitwise calls — an order of magnitude
-        less per-gate overhead than numpy on 4-word arrays.  Evaluation is
-        event-driven: gates none of whose fanins changed are skipped, and
-        the walk stops once the change frontier dies past the last
-        overridden gate.
-
-        Returns:
-            Mapping of net id → faulty packed row for every net whose row
-            changed (copy-on-write overlay over ``base_ints``).
-        """
-        modified: Dict[int, int] = dict(net_override or {})
-        ov_gates = {g for (g, _p) in input_override}
-        plan, pos = self.cone_plan(start_gates)
-        last_ov = max((pos.get(g, -1) for g in ov_gates), default=-1)
-        for i, (gid, fn, fanin, out) in enumerate(plan):
-            if gid in ov_gates:
-                ins = []
-                for pin, nid in enumerate(fanin):
-                    v = input_override.get((gid, pin))
-                    if v is None:
-                        v = modified.get(nid)
-                        if v is None:
-                            v = base_ints[nid]
-                    ins.append(v)
-            else:
-                if not modified:
-                    if i > last_ov:
-                        break
-                    continue
-                touched = False
-                for nid in fanin:
-                    if nid in modified:
-                        touched = True
-                        break
-                if not touched:
-                    continue
-                ins = [modified[nid] if nid in modified else base_ints[nid] for nid in fanin]
-            new = fn(ins, full_mask)
-            if new == base_ints[out]:
-                if out in modified:
-                    del modified[out]
-            else:
-                modified[out] = new
-        return modified

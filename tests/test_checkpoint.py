@@ -2,7 +2,7 @@
 
 The resume contract: an interrupted multi-stage run re-invoked with the
 same inputs completes without re-running finished stages (visible as
-``*.resumed`` counters and *absent* stage wall-clock entries), and any
+``*.resumed`` counters and *absent* stage spans), and any
 input change invalidates the checkpoint wholesale — a resume can never mix
 stages from two configurations.
 """
@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import M3DDiagnosisFramework
 from repro.data import build_dataset
+from repro.obs import SpanTracer
 from repro.runtime import (
     ArtifactCache,
     ProgressManifest,
@@ -117,18 +118,20 @@ def _fit_stage_path(cache, fw, train):
 class TestFitCheckpoint:
     def test_refit_resumes_every_stage(self, prepared, train_set, tmp_path):
         cache = ArtifactCache(tmp_path)
-        first_stats = RuntimeStats()
+        first_stats, first_tracer = RuntimeStats(), SpanTracer()
         fw1 = M3DDiagnosisFramework(**FIT_PARAMS)
-        s1 = fw1.fit([train_set], stats_sink=first_stats, checkpoint=cache)
-        trained = [k for k in first_stats.stage_seconds if k.startswith("fit.")]
+        s1 = fw1.fit([train_set], stats_sink=first_stats, checkpoint=cache,
+                     tracer=first_tracer)
+        trained = [p for p in first_tracer.export() if p.startswith("fit.")]
         assert "fit.tier" in trained
         assert not any(k.endswith(".resumed") for k in first_stats.counters)
 
-        resumed_stats = RuntimeStats()
+        resumed_stats, resumed_tracer = RuntimeStats(), SpanTracer()
         fw2 = M3DDiagnosisFramework(**FIT_PARAMS)
-        s2 = fw2.fit([train_set], stats_sink=resumed_stats, checkpoint=cache)
-        # The proof the stages did not re-run: no fit.* wall-clock at all.
-        assert not any(k.startswith("fit.") for k in resumed_stats.stage_seconds)
+        s2 = fw2.fit([train_set], stats_sink=resumed_stats, checkpoint=cache,
+                     tracer=resumed_tracer)
+        # The proof the stages did not re-run: no fit.* stage span at all.
+        assert not any(p.startswith("fit.") for p in resumed_tracer.export())
         assert resumed_stats.counters.get("fit.tier.resumed") == 1
         assert resumed_stats.counters.get("fit.threshold.resumed") == 1
         # …and the resumed framework is behaviorally identical.
@@ -150,21 +153,42 @@ class TestFitCheckpoint:
         stage_path = _fit_stage_path(cache, fw1, train_set)
         cache._evict(stage_path("tier"))
 
-        stats = RuntimeStats()
+        stats, tracer = RuntimeStats(), SpanTracer()
         fw2 = M3DDiagnosisFramework(**FIT_PARAMS)
-        fw2.fit([train_set], stats_sink=stats, checkpoint=cache)
-        assert "fit.tier" in stats.stage_seconds  # only this stage re-ran
+        fw2.fit([train_set], stats_sink=stats, checkpoint=cache, tracer=tracer)
+        assert "fit.tier" in tracer.export()  # only this stage re-ran
         assert stats.counters.get("fit.threshold.resumed") == 1
-        assert "fit.threshold" not in stats.stage_seconds
+        assert "fit.threshold" not in tracer.export()
 
     def test_hyperparameter_change_invalidates(self, prepared, train_set, tmp_path):
         cache = ArtifactCache(tmp_path)
         M3DDiagnosisFramework(**FIT_PARAMS).fit([train_set], checkpoint=cache)
-        stats = RuntimeStats()
+        stats, tracer = RuntimeStats(), SpanTracer()
         fw = M3DDiagnosisFramework(epochs=6, seed=1)  # different seed
-        fw.fit([train_set], stats_sink=stats, checkpoint=cache)
+        fw.fit([train_set], stats_sink=stats, checkpoint=cache, tracer=tracer)
         assert not any(k.endswith(".resumed") for k in stats.counters)
-        assert "fit.tier" in stats.stage_seconds
+        assert "fit.tier" in tracer.export()
+
+    def test_resumed_fit_on_shared_sinks_reports_no_fit_seconds(
+        self, prepared, train_set, tmp_path
+    ):
+        """Stage seconds belong to the fit that trained: a shared sink and
+        tracer carrying an earlier fit must not leak into a resumed one."""
+        cache = ArtifactCache(tmp_path)
+        stats, tracer = RuntimeStats(), SpanTracer()
+        first = M3DDiagnosisFramework(**FIT_PARAMS).fit(
+            [train_set], stats_sink=stats, checkpoint=cache, tracer=tracer
+        )
+        assert "fit_tier_s" in first
+        second = M3DDiagnosisFramework(**FIT_PARAMS).fit(
+            [train_set], stats_sink=stats, checkpoint=cache, tracer=tracer
+        )
+        assert stats.counters.get("fit.tier.resumed") == 1
+        assert not [k for k in second if k.startswith("fit_")]
+        spans = tracer.export()
+        assert spans["fit"]["calls"] == 2
+        assert spans["fit.tier"]["calls"] == 1  # only the first fit trained
+        assert spans["fit.tier"]["seconds"] == first["fit_tier_s"]
 
     def test_without_checkpoint_nothing_is_written(self, prepared, train_set, tmp_path):
         cache = ArtifactCache(tmp_path)

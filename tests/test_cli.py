@@ -40,14 +40,23 @@ def test_parser_requires_command():
 
 
 @pytest.mark.parametrize("command", ["demo", "serve"])
-@pytest.mark.parametrize("gates", ["0", "-5", "many"])
+@pytest.mark.parametrize("gates", ["0", "-5", "many", "1", "16", "24", "31"])
 def test_non_positive_gates_rejected_at_parse(command, gates, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--gates", gates])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--gates" in err
-    assert "positive integer" in err or "invalid int value" in err
+    if gates.isdigit() and int(gates) >= 1:
+        # 16 flops + 16 primary outputs each need a gate of their own.
+        assert "at least 32" in err
+    else:
+        assert "positive integer" in err or "invalid int value" in err
+
+
+@pytest.mark.parametrize("command", ["demo", "serve"])
+def test_smallest_generatable_gates_accepted(command):
+    assert build_parser().parse_args([command, "--gates", "32"]).gates == 32
 
 
 # ------------------------------------------------------------------ doctor

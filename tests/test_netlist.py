@@ -175,6 +175,23 @@ def test_generate_all_flavors():
         assert nl.n_flops == 16
 
 
+@pytest.mark.parametrize("n_gates", [1, 16, 24, 31])
+def test_generate_rejects_fewer_gates_than_sinks(n_gates):
+    """Every flop D pin and primary output needs a gate output of its own."""
+    spec = GeneratorSpec("tiny", "aes_like", n_gates, 16, 16, 16, seed=0)
+    with pytest.raises(ValueError, match="below n_flops \\+ n_pos = 32"):
+        generate(spec)
+
+
+def test_generate_at_the_sink_bound():
+    from repro.netlist.generators import FLAVORS
+
+    for flavor in FLAVORS:
+        for seed in range(5):
+            nl = generate(GeneratorSpec("edge", flavor, 32, 16, 16, 16, seed=seed))
+            assert nl.n_gates == 32
+
+
 def test_generate_no_dangling(small_netlist):
     from repro.netlist import check
 

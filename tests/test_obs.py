@@ -170,10 +170,10 @@ def test_runtime_stats_pickles_with_lambda_progress_sink():
 
 def test_report_aligns_long_dotted_stage_names():
     stats = RuntimeStats()
-    long = "tables.table9.dataset.cache.sample_chunk.load"
+    long = "faulttol.tables.table9.dataset.chunk.retries"
     assert len(long) > 28
-    stats.add_time(long, 1.0)
-    stats.add_time("short", 2.0)
+    stats.count(long, 1)
+    stats.count("short", 2)
     stats.count("cache.design.hit", 3)
     lines = stats.report().splitlines()[1:]
     # One shared name-column width sized to the longest key: each value is an
@@ -187,20 +187,26 @@ def test_report_aligns_long_dotted_stage_names():
 
 
 def test_runtime_stats_merge_and_timed_nesting():
-    outer = RuntimeStats()
-    with outer.timed("outer"):
-        with outer.timed("outer.inner"):
+    """Intervals nest and merge as spans; counters merge as RuntimeStats."""
+    outer = SpanTracer()
+    with outer.span("outer"):
+        with outer.span("inner"):
             pass
-    assert outer.stage_calls == {"outer": 1, "outer.inner": 1}
-    assert outer.stage_seconds["outer"] >= outer.stage_seconds["outer.inner"]
+    spans = outer.export()
+    assert {p: r["calls"] for p, r in spans.items()} == {"outer": 1, "outer.inner": 1}
+    assert spans["outer"]["seconds"] >= spans["outer.inner"]["seconds"]
 
-    worker = RuntimeStats()
-    with worker.timed("outer"):
+    worker = SpanTracer()
+    with worker.span("outer"):
         pass
-    worker.count("cache.design.hit", 2)
-    outer.merge(worker)
-    assert outer.stage_calls["outer"] == 2
-    assert outer.counters["cache.design.hit"] == 2
+    outer.merge(worker.export(), prefix="")
+    assert outer.export()["outer"]["calls"] == 2
+
+    stats, worker_stats = RuntimeStats(), RuntimeStats()
+    worker_stats.count("cache.design.hit", 2)
+    stats.merge(worker_stats)
+    assert stats.counters["cache.design.hit"] == 2
+    assert set(vars(stats)) == {"counters", "progress"}  # no timer state
 
 
 # ---------------------------------------------------------- runtime + spans
@@ -239,15 +245,14 @@ def test_cache_spans_nest_under_dataset(prepared, tmp_path):
     warm = DatasetRuntime(workers=1, cache_dir=tmp_path, tracer=tracer)
     warm.build_dataset(prepared, "bypass", 16, SEED)
     spans = tracer.export()
-    assert spans["dataset.cache.store"]["calls"] == 1
-    assert spans["dataset.cache.load"]["calls"] == 1
+    # Cache time stays visible per artifact kind.
+    assert spans["dataset.cache.sample_chunk.store"]["calls"] == 1
+    assert spans["dataset.cache.sample_chunk.load"]["calls"] == 1
 
 
 # ----------------------------------------------------------------- metrics
 def _sample_stats_and_tracer():
     stats = RuntimeStats()
-    stats.add_time("dataset.inject", 1.5)
-    stats.add_time("prepare.build", 4.0)
     stats.count("cache.design.hit", 3)
     stats.count("cache.design.miss", 1)
     stats.count("cache.sample_chunk.miss", 2)
@@ -257,14 +262,17 @@ def _sample_stats_and_tracer():
     with tracer.span("tables"):
         with tracer.span("dataset"):
             tracer.count("samples", 40)
+    tracer.add("dataset.chunk", 1.5)
+    tracer.add("prepare.design", 4.0)
     return stats, tracer
 
 
 def test_metrics_document_schema():
     stats, tracer = _sample_stats_and_tracer()
     doc = metrics_document(stats, tracer)
-    assert doc["schema"] == METRICS_SCHEMA
-    assert doc["stages"]["dataset.inject"] == {"seconds": 1.5, "calls": 1}
+    assert doc["schema"] == METRICS_SCHEMA == 2
+    assert "stages" not in doc  # spans are the only timer
+    assert doc["spans"]["dataset.chunk"] == {"seconds": 1.5, "calls": 1, "counters": {}}
     assert doc["spans"]["tables.dataset"]["counters"] == {"samples": 40}
     assert doc["cache"]["kinds"]["design"] == {"hits": 3, "misses": 1, "hit_ratio": 0.75}
     assert doc["cache"]["kinds"]["sample_chunk"]["hit_ratio"] == 0.0
@@ -294,8 +302,9 @@ def test_prometheus_textfile_format(tmp_path):
     stats, tracer = _sample_stats_and_tracer()
     out = write_metrics(tmp_path / "metrics.prom", stats, tracer)
     text = out.read_text()
-    assert '# TYPE repro_stage_seconds_total counter' in text
-    assert 'repro_stage_seconds_total{stage="dataset.inject"} 1.5' in text
+    assert "repro_stage_" not in text
+    assert '# TYPE repro_span_seconds_total counter' in text
+    assert 'repro_span_seconds_total{span="dataset.chunk"} 1.5' in text
     assert 'repro_span_calls_total{span="tables.dataset"} 1' in text
     assert 'repro_cache_hits_total{kind="design"} 3' in text
     assert 'repro_counter_total{name="faulttol.chunk.retries"} 2' in text
@@ -309,8 +318,8 @@ def test_render_metrics_sections():
     stats, tracer = _sample_stats_and_tracer()
     text = render_metrics(metrics_document(stats, tracer), top=1)
     assert "span tree:" in text
-    assert "top 1 stage(s)" in text and "prepare.build" in text
-    assert "dataset.inject" not in text.split("top 1")[1].split("cache")[0]
+    assert "top 1 span(s)" in text and "prepare.design" in text
+    assert "dataset.chunk" not in text.split("top 1")[1].split("cache")[0]
     assert "cache hit ratios:" in text and "75.0%" in text
     assert "faulttol events:" in text and "faulttol.chunk.retries" in text
 
@@ -432,8 +441,11 @@ def test_fit_records_stage_spans(prepared):
     train = DatasetRuntime(workers=1).build_dataset(prepared, "bypass", 24, SEED)
     tracer = SpanTracer()
     fw = M3DDiagnosisFramework(epochs=2, seed=0)
-    fw.fit([train], tracer=tracer)
+    stats = fw.fit([train], tracer=tracer)
     spans = tracer.export()
     assert spans["fit"]["calls"] == 1
     assert spans["fit.tier"]["calls"] == 1
     assert spans["fit.threshold"]["calls"] == 1
+    # The returned stage seconds are read from these very spans.
+    for stage in ("tier", "threshold"):
+        assert stats[f"fit_{stage}_s"] == spans[f"fit.{stage}"]["seconds"]

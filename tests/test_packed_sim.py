@@ -201,23 +201,3 @@ def test_cone_and_plan_memoization(design):
     fn1 = sim.propagation_fn(starts)
     fn2 = sim.propagation_fn(tuple(reversed(starts)))
     assert fn1 is fn2
-
-
-def test_resimulate_packed_matches_uint8_overrides(design):
-    """The generic packed cone re-simulation overlays match the uint8 ones."""
-    simP, simU = _engines(design)
-    v1, v2 = _random_pair(design, 90, seed=31)
-    goodP = simP.simulate_pair(v1, v2)
-    base_u8 = simU.simulate(v2)
-    base_ints = goodP.v2_ints()
-    rng = np.random.default_rng(3)
-    for gid in rng.choice(design.n_gates, size=10, replace=False):
-        g = design.gates[int(gid)]
-        flip = rng.integers(0, 2, size=90, dtype=np.uint8)
-        ov_u8 = {(g.id, 0): base_u8[g.fanin[0]] ^ flip}
-        ov_int = {(g.id, 0): base_ints[g.fanin[0]] ^ rows_to_ints(pack_patterns(flip))[0]}
-        mod_u8 = simU.resimulate_with_overrides(base_u8, [g.id], ov_u8)
-        mod_int = simP.resimulate_packed(base_ints, [g.id], ov_int, goodP.full_mask)
-        assert set(mod_u8) == set(mod_int)
-        for net, vals in mod_u8.items():
-            assert np.array_equal(int_to_bits(mod_int[net], 90), vals)

@@ -16,6 +16,7 @@ import pytest
 from repro.data import DesignConfig, build_dataset, prepare_design
 from repro.data.datasets import chunk_seed
 from repro.netlist import GeneratorSpec
+from repro.obs import SpanTracer
 from repro.runtime import (
     DatasetRequest,
     DatasetRuntime,
@@ -77,14 +78,16 @@ def test_warm_cache_byte_identical_and_skips_simulation(design, tmp_path):
     first = cold.build_dataset(design, "bypass", N_SAMPLES, SEED)
     assert cold_stats.counters.get("dataset.chunks_built", 0) == 3
 
-    warm_stats = RuntimeStats()
-    warm = DatasetRuntime(workers=1, cache_dir=tmp_path, stats=warm_stats)
+    warm_stats, warm_tracer = RuntimeStats(), SpanTracer()
+    warm = DatasetRuntime(workers=1, cache_dir=tmp_path, stats=warm_stats,
+                          tracer=warm_tracer)
     second = warm.build_dataset(design, "bypass", N_SAMPLES, SEED)
     assert sample_set_fingerprint(second) == sample_set_fingerprint(first)
     # No injection/simulation ran on the warm path — every chunk was a hit.
     assert warm_stats.counters.get("dataset.chunks_built", 0) == 0
     assert warm_stats.counters.get("cache.sample_chunk.hit", 0) == 3
-    assert "dataset.inject" not in warm_stats.stage_seconds
+    assert warm_tracer.export()["dataset"]["calls"] == 1
+    assert "dataset.chunk" not in warm_tracer.export()
 
 
 def test_parallel_warm_cache_matches_cold_serial(design, tmp_path):

@@ -544,6 +544,27 @@ class TestMalformedSubmissions:
             urllib.request.urlopen(huge, timeout=30)
         assert err.value.code == 413
 
+    def test_oversized_body_answers_413_then_closes(self, serving):
+        """The unread body of a 413 must never parse as the next request."""
+        client, _service, _batcher, _record = serving
+        host, port = client.base_url.rsplit("/", 1)[-1].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                b"POST /diagnose HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + str(10**12).encode() + b"\r\n\r\n"
+                b"xyzGET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            received = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break  # EOF: the server closed the connection
+                received += chunk
+        assert received.startswith(b"HTTP/1.1 413 ")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in received
+        assert b"501" not in received and b"xyzGET" not in received
+
     def test_unknown_route_404(self, serving):
         client, _service, _batcher, _record = serving
         with pytest.raises(urllib.error.HTTPError) as err:
